@@ -71,25 +71,32 @@ let measure ~(name : string) (f : unit -> unit) : float =
   recorded := (name, ns) :: !recorded;
   ns
 
-(* Bytes allocated and minor collections per execution of [f], by
-   [Gc.allocated_bytes] / [Gc.quick_stat] deltas over a fixed run count.
-   Unlike time, allocation is deterministic per run, so a modest rep
-   count with the two probe calls amortised over it is exact enough for
-   a ratio gate. *)
+(* Bytes allocated and minor collections per execution of [f], over a
+   fixed run count.  Allocated words are minor + major - promoted, as in
+   [Gc.allocated_bytes], with two OCaml 5.1 workarounds: the minor words
+   come from [Gc.minor_words] (the [Gc.counters] that
+   [Gc.allocated_bytes] sums report an eighth of them), and each probe
+   first runs a full major collection, without which [major_words] can
+   lag behind [promoted_words].  Unlike time, allocation is
+   deterministic per run, so a modest rep count with the probes
+   amortised over it is exact enough for a ratio gate. *)
 let alloc_of ?(reps = 64) (f : unit -> unit) : float * float =
   f ();
   (* warm up *)
-  Gc.full_major ();
-  let s0 = Gc.quick_stat () in
-  let a0 = Gc.allocated_bytes () in
+  let words () =
+    Gc.full_major ();
+    let s = Gc.quick_stat () in
+    Gc.minor_words () +. s.major_words -. s.promoted_words
+  in
+  let w0 = words () in
+  let m0 = (Gc.quick_stat ()).minor_collections in
   for _ = 1 to reps do
     f ()
   done;
-  let a1 = Gc.allocated_bytes () in
-  let s1 = Gc.quick_stat () in
-  ( (a1 -. a0) /. float_of_int reps,
-    float_of_int (s1.Gc.minor_collections - s0.Gc.minor_collections)
-    /. float_of_int reps )
+  let m1 = (Gc.quick_stat ()).minor_collections in
+  let w1 = words () in
+  ( (w1 -. w0) *. float_of_int (Sys.word_size / 8) /. float_of_int reps,
+    float_of_int (m1 - m0) /. float_of_int reps )
 
 (* ns/op plus the allocation profile: (ns, allocated bytes/op, minor
    collections/op).  Records all three for the JSON trajectory. *)

@@ -133,6 +133,67 @@ let test_fused_skipped_length_field_still_sizes () =
       Alcotest.(check string) "tail survives the skip" "end"
         (Value.to_string_exn (Value.get_field fused "tail")))
 
+(* The target drops [items], an array of records whose four trailing
+   fixed-width fields the fused plan skips as one 14-byte span per
+   element.  Cutting the payload at every offset puts cuts inside those
+   spans: the span skip must reject them exactly as the field-by-field
+   decoders do, and the whole payload must still morph to the staged
+   value. *)
+let item =
+  Ptype.record "Item"
+    [ Ptype.field "name" Ptype.string_; Ptype.field "id" Ptype.int_;
+      Ptype.field "x" Ptype.float_; Ptype.field "flag" Ptype.bool_;
+      Ptype.field "c" Ptype.char_ ]
+
+let batch_full =
+  Ptype.record "Batch"
+    [ Ptype.field "tag" Ptype.int_; Ptype.field "n" Ptype.int_;
+      Ptype.field "items" (Ptype.array_var "n" (Ptype.Record item));
+      Ptype.field "trailer" Ptype.int_ ]
+
+let batch_header =
+  Ptype.record "Batch"
+    [ Ptype.field "tag" Ptype.int_; Ptype.field "trailer" Ptype.int_ ]
+
+let test_truncation_inside_skipped_span () =
+  let it i =
+    Value.record
+      [ ("name", Value.String (String.make i 'a')); ("id", Value.Int i);
+        ("x", Value.Float (float_of_int i)); ("flag", Value.Bool (i mod 2 = 0));
+        ("c", Value.Char 'z') ]
+  in
+  let v =
+    Value.record
+      [ ("tag", Value.Int 7); ("n", Value.Int 3);
+        ("items", Value.array_of_list [ it 1; it 2; it 3 ]);
+        ("trailer", Value.Int 9) ]
+  in
+  both_endians (fun endian ->
+      let payload = Codec.Interp.encode_payload ~endian batch_full v in
+      let dec = Codec.compile_decode ~endian batch_full in
+      let mor = Codec.compile_morph ~endian ~from_:batch_full ~into:batch_header in
+      let accepts f =
+        match f () with _ -> true | exception Codec.Decode_error _ -> false
+      in
+      for cut = 0 to String.length payload - 1 do
+        let trunc = String.sub payload 0 cut in
+        let interp =
+          accepts (fun () -> Codec.Interp.decode_payload ~endian batch_full trunc)
+        in
+        let what path = Printf.sprintf "%s agrees with interp at cut %d" path cut in
+        Alcotest.(check bool) (what "compiled decode") interp
+          (accepts (fun () -> Codec.decode_payload dec trunc));
+        Alcotest.(check bool) (what "fused morph") interp
+          (accepts (fun () -> Codec.morph_payload mor trunc))
+      done;
+      let staged =
+        Helpers.check_ok_err
+          (Convert.convert ~from_:batch_full ~into:batch_header
+             (Codec.decode_payload dec payload))
+      in
+      Alcotest.check Helpers.value "whole payload: fused = staged" staged
+        (Codec.morph_payload mor payload))
+
 (* --- hostile lengths ------------------------------------------------------ *)
 
 let test_hostile_length_rejected_cheaply () =
@@ -277,6 +338,8 @@ let suite =
       test_fused_equals_staged_on_fixtures;
     Alcotest.test_case "fused reads skipped length fields" `Quick
       test_fused_skipped_length_field_still_sizes;
+    Alcotest.test_case "truncation inside a skipped span" `Quick
+      test_truncation_inside_skipped_span;
     Alcotest.test_case "hostile lengths rejected cheaply" `Quick
       test_hostile_length_rejected_cheaply;
     Alcotest.test_case "plan cache compiles once" `Quick test_plan_cache_compiles_once;
