@@ -29,7 +29,7 @@
 
    Usage: dune exec bench/main.exe -- [SECTION]... [--quick]
             [--only fig8,table1] [--json [FILE]] [--check-codec]
-            [--check-parallel] [--check-obs] [--check-alloc]
+            [--check-parallel] [--check-obs] [--check-alloc] [--check-ecode]
    A SECTION token (bare or in --only) selects every section whose name
    contains it, so `fig10` and `fig10-evolution` both select Figure 10;
    a token matching no section exits 2.  --json without a file
@@ -41,7 +41,9 @@
    fewer than 4 recommended domains).  --check-obs exits non-zero unless
    the telemetry hot paths stay within their overhead budgets.
    --check-alloc exits non-zero unless the fused morph plan allocates at
-   most a quarter of the staged bytes at the ~100 KB point. *)
+   most a quarter of the staged bytes at the ~100 KB point.
+   --check-ecode exits non-zero unless the compiled Figure 5 transform
+   (abl1) allocates at most 1,500 bytes per member at the 10 KB point. *)
 
 open Pbio
 module WF = Echo.Wire_formats
@@ -198,6 +200,10 @@ let fig10 points =
 
 (* --- Ablation 1: code generation vs interpretation -------------------------------- *)
 
+(* (bytes allocated per member, compiled ns, interpreted ns) for the
+   Figure 5 transform at the 10 KB point; read back by --check-ecode *)
+let abl1_result : (float * float * float) option ref = ref None
+
 let abl1 () =
   H.section "abl1-dcg"
     "Ablation: the Figure 5 transformation via compiled closures (the DCG \
@@ -219,9 +225,36 @@ let abl1 () =
   let i =
     H.measure ~name:"abl1/interpreted" (fun () -> ignore (interpreted p.v2_value))
   in
+  (* allocation is a deterministic count per run, unlike time *)
+  let bytes, minors = H.alloc_of (fun () -> ignore (compiled p.v2_value)) in
+  H.recorded_alloc := ("abl1/compiled", bytes, minors) :: !H.recorded_alloc;
+  let per_member = bytes /. float_of_int p.members in
+  abl1_result := Some (per_member, c, i);
   H.row "   compiled closures:   %s\n" (ns c);
   H.row "   naive interpreter:   %s\n" (ns i);
-  H.row "   codegen speedup:     %.1fx\n" (i /. c)
+  H.row "   codegen speedup:     %.1fx\n" (i /. c);
+  H.row "   compiled allocation: %.0f B/member (%d members)\n" per_member p.members
+
+(* The CI guard on the typed Ecode lowering: the compiled Figure 5
+   transform must allocate at most 1,500 bytes per member at the 10 KB
+   point.  Allocation is a deterministic count, so the bound needs no
+   noise slack; the compiled/interpreted time ratio is reported but not
+   gated. *)
+let check_ecode () : int =
+  match !abl1_result with
+  | None ->
+    prerr_endline "check-ecode: no abl1 measurement (did filters skip 'abl1'?)";
+    1
+  | Some (per_member, c, i) ->
+    Printf.printf
+      "check-ecode @10KB: compiled Figure 5 allocates %.0f B/member (need <= 1500); \
+       compiled is %.1fx the interpreter (not gated)\n"
+      per_member (i /. c);
+    if per_member <= 1500. then 0
+    else begin
+      prerr_endline "check-ecode: FAILED — compiled Ecode allocation regressed";
+      1
+    end
 
 (* --- Ablation 2: cold path vs cached hot path -------------------------------------- *)
 
@@ -790,6 +823,7 @@ type opts = {
   check_parallel : bool;
   check_obs : bool;
   check_alloc : bool;
+  check_ecode : bool;
 }
 
 let parse_args () : opts =
@@ -801,6 +835,7 @@ let parse_args () : opts =
     | "--check-parallel" :: rest -> go { acc with check_parallel = true } rest
     | "--check-obs" :: rest -> go { acc with check_obs = true } rest
     | "--check-alloc" :: rest -> go { acc with check_alloc = true } rest
+    | "--check-ecode" :: rest -> go { acc with check_ecode = true } rest
     | "--only" :: v :: rest when not (is_flag v) ->
       go { acc with filters = acc.filters @ String.split_on_char ',' v } rest
     | "--json" :: v :: rest when not (is_flag v) -> go { acc with json = Some v } rest
@@ -814,7 +849,8 @@ let parse_args () : opts =
   in
   go
     { quick = false; filters = []; json = None; check = false;
-      check_parallel = false; check_obs = false; check_alloc = false }
+      check_parallel = false; check_obs = false; check_alloc = false;
+      check_ecode = false }
     (List.tl (Array.to_list Sys.argv))
 
 let () =
@@ -870,10 +906,12 @@ let () =
     opts.json;
   print_newline ();
   if opts.check || opts.check_parallel || opts.check_obs || opts.check_alloc
+     || opts.check_ecode
   then begin
     let rc = if opts.check then check_codec () else 0 in
     let rcp = if opts.check_parallel then check_parallel () else 0 in
     let rco = if opts.check_obs then check_obs () else 0 in
     let rca = if opts.check_alloc then check_alloc () else 0 in
-    exit (max (max rc rca) (max rcp rco))
+    let rce = if opts.check_ecode then check_ecode () else 0 in
+    exit (List.fold_left max 0 [ rc; rcp; rco; rca; rce ])
   end

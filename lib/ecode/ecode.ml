@@ -110,12 +110,15 @@ let compile_xform ~(src : Ptype.record) ~(dst : Ptype.record) (code : string) :
   match compile ~params code with
   | Error _ as e -> e
   | Ok run ->
-    Ok
-      (fun input ->
-         let output = Value.default_record dst in
-         run [| input; output |];
-         Value.sync_lengths dst output;
-         output)
+    (match Value.maker (Ptype.Record dst) with
+     | exception Value.Type_error msg -> Error msg
+     | fresh_output ->
+       Ok
+         (fun input ->
+            let output = fresh_output () in
+            run [| input; output |];
+            Value.sync_lengths dst output;
+            output))
 
 (* Interpreted variant of {!compile_xform}; same semantics, no code
    generation.  Used by the A1 ablation benchmark. *)

@@ -30,17 +30,6 @@ let is_digit c = c >= '0' && c <= '9'
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident c = is_ident_start c || is_digit c
 
-(* Multi-character operators, longest first. *)
-let operators3 = [ "<<="; ">>=" ]
-
-let operators2 =
-  [ "=="; "!="; "<="; ">="; "&&"; "||"; "++"; "--"; "+="; "-="; "*="; "/="; "%=";
-    "<<"; ">>"; "&="; "|="; "^=" ]
-
-let operators1 =
-  [ "+"; "-"; "*"; "/"; "%"; "="; "<"; ">"; "!"; "."; ","; ";"; "("; ")"; "{"; "}";
-    "["; "]"; "?"; ":"; "&"; "|"; "^"; "~" ]
-
 let skip_ws_and_comments st =
   let rec go () =
     match peek st with
@@ -144,29 +133,60 @@ let lex_string st : Token.t =
   go ();
   Token.String_lit (Buffer.contents buf)
 
+(* Operators and punctuation, longest match first.  Past the end of the
+   source the lookahead reads NUL, which starts no operator. *)
 let lex_operator st : Token.t =
-  let try_ops ops n =
-    if st.pos + n <= String.length st.src then begin
-      let s = String.sub st.src st.pos n in
-      if List.mem s ops then Some s else None
-    end
-    else None
-  in
-  match try_ops operators3 3 with
-  | Some s ->
-    st.pos <- st.pos + 3;
+  let at k = if st.pos + k < String.length st.src then st.src.[st.pos + k] else '\000' in
+  let op n s =
+    st.pos <- st.pos + n;
     Token.Op s
-  | None ->
-    (match try_ops operators2 2 with
-     | Some s ->
-       st.pos <- st.pos + 2;
-       Token.Op s
-     | None ->
-       (match try_ops operators1 1 with
-        | Some s ->
-          advance st;
-          Token.Op s
-        | None -> error (loc st) "unexpected character %C" st.src.[st.pos]))
+  in
+  match at 0, at 1, at 2 with
+  | '<', '<', '=' -> op 3 "<<="
+  | '>', '>', '=' -> op 3 ">>="
+  | '=', '=', _ -> op 2 "=="
+  | '!', '=', _ -> op 2 "!="
+  | '<', '=', _ -> op 2 "<="
+  | '>', '=', _ -> op 2 ">="
+  | '&', '&', _ -> op 2 "&&"
+  | '|', '|', _ -> op 2 "||"
+  | '+', '+', _ -> op 2 "++"
+  | '-', '-', _ -> op 2 "--"
+  | '+', '=', _ -> op 2 "+="
+  | '-', '=', _ -> op 2 "-="
+  | '*', '=', _ -> op 2 "*="
+  | '/', '=', _ -> op 2 "/="
+  | '%', '=', _ -> op 2 "%="
+  | '<', '<', _ -> op 2 "<<"
+  | '>', '>', _ -> op 2 ">>"
+  | '&', '=', _ -> op 2 "&="
+  | '|', '=', _ -> op 2 "|="
+  | '^', '=', _ -> op 2 "^="
+  | '+', _, _ -> op 1 "+"
+  | '-', _, _ -> op 1 "-"
+  | '*', _, _ -> op 1 "*"
+  | '/', _, _ -> op 1 "/"
+  | '%', _, _ -> op 1 "%"
+  | '=', _, _ -> op 1 "="
+  | '<', _, _ -> op 1 "<"
+  | '>', _, _ -> op 1 ">"
+  | '!', _, _ -> op 1 "!"
+  | '.', _, _ -> op 1 "."
+  | ',', _, _ -> op 1 ","
+  | ';', _, _ -> op 1 ";"
+  | '(', _, _ -> op 1 "("
+  | ')', _, _ -> op 1 ")"
+  | '{', _, _ -> op 1 "{"
+  | '}', _, _ -> op 1 "}"
+  | '[', _, _ -> op 1 "["
+  | ']', _, _ -> op 1 "]"
+  | '?', _, _ -> op 1 "?"
+  | ':', _, _ -> op 1 ":"
+  | '&', _, _ -> op 1 "&"
+  | '|', _, _ -> op 1 "|"
+  | '^', _, _ -> op 1 "^"
+  | '~', _, _ -> op 1 "~"
+  | c, _, _ -> error (loc st) "unexpected character %C" c
 
 let tokenize (src : string) : Token.spanned list =
   let st = { src; pos = 0; line = 1; bol = 0 } in
@@ -179,11 +199,10 @@ let tokenize (src : string) : Token.spanned list =
     | Some c when is_digit c -> emit l (lex_number st)
     | Some c when is_ident_start c ->
       let start = st.pos in
-      while (match peek st with Some c -> is_ident c | None -> false) do advance st done;
+      let n = String.length src in
+      while st.pos < n && is_ident src.[st.pos] do st.pos <- st.pos + 1 done;
       let name = String.sub src start (st.pos - start) in
-      let tok =
-        if List.mem name Token.keywords then Token.Kw name else Token.Ident name
-      in
+      let tok = if Token.is_keyword name then Token.Kw name else Token.Ident name in
       emit l tok
     | Some '\'' -> emit l (lex_char st)
     | Some '"' -> emit l (lex_string st)

@@ -31,6 +31,13 @@ let keywords =
     "switch"; "case"; "default"; "void";
     "true"; "false" ]
 
+let keyword_table =
+  let t = Hashtbl.create 32 in
+  List.iter (fun k -> Hashtbl.replace t k ()) keywords;
+  t
+
+let is_keyword (s : string) : bool = Hashtbl.mem keyword_table s
+
 let pp ppf = function
   | Ident s -> Fmt.pf ppf "identifier %S" s
   | Int_lit n -> Fmt.pf ppf "integer %d" n

@@ -8,6 +8,7 @@
    The four differential oracles:
      roundtrip  wire encode/decode is the identity on conforming values
      engines    compiled and interpreted Ecode agree on evolution rollbacks
+                and on loop-bearing transforms ({!Loopgen})
      chain      a receiver morphing v_n -> v_0 through a spec chain equals
                 the direct composition of the generated hop transformations
      weighted   uniform-weight Weighted matching reproduces the plain
@@ -103,7 +104,22 @@ let engines_case st =
   let b = interpreted (Value.copy v) in
   if not (Value.equal a b) then
     fail "engines disagree on %a:@ input %s@ compiled %s@ interpreted %s"
-      Evolve.pp_op s.Evolve.op (Value.to_string v) (Value.to_string a) (Value.to_string b)
+      Evolve.pp_op s.Evolve.op (Value.to_string v) (Value.to_string a) (Value.to_string b);
+  (* then a loop-bearing transform, drawn after the rollback so the
+     rollback half of each case is unchanged *)
+  let c = Loopgen.gen st in
+  let v = Gen.value_for Loopgen.src st in
+  let engine name build =
+    match build ~src:Loopgen.src ~dst:Loopgen.dst c.Loopgen.code with
+    | Ok f -> f
+    | Error e -> fail "loop transform rejected by %s: %s@ code:@ %s" name e c.Loopgen.code
+  in
+  let a = engine "compiler" Ecode.compile_xform (Value.copy v) in
+  let b = engine "interpreter" Ecode.interpret_xform (Value.copy v) in
+  if not (Value.equal a b) then
+    fail "engines disagree on a loop transform [%s]:@ input %s@ code:@ %s@ compiled %s@ interpreted %s"
+      (String.concat ", " c.Loopgen.features) (Value.to_string v) c.Loopgen.code
+      (Value.to_string a) (Value.to_string b)
 
 let chain_case st =
   let base = Gen.record st in

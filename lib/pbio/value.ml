@@ -149,13 +149,19 @@ let fill_for d =
   | Some m -> copy m
   | None -> if d.len > 0 then copy d.items.(d.len - 1) else Int 0
 
+(* Each gap slot gets its own element: the first takes [fill], the rest
+   copies of it, so a later write through one gap slot cannot show through
+   another.  An append ([i] = length) leaves no gap and builds no fill. *)
 let array_set ?fill v i x =
   let d = dyn v in
   if i < 0 then type_error "negative array index %d" i;
   if i >= d.len then begin
-    let fill = match fill with Some f -> f | None -> fill_for d in
-    grow d fill (i + 1);
-    for j = d.len to i do d.items.(j) <- fill done;
+    grow d x (i + 1);
+    if i > d.len then begin
+      let fill = match fill with Some f -> f | None -> fill_for d in
+      d.items.(d.len) <- fill;
+      for j = d.len + 1 to i - 1 do d.items.(j) <- copy fill done
+    end;
     d.len <- i + 1
   end;
   d.items.(i) <- x
@@ -250,16 +256,81 @@ let rec default (ty : Ptype.t) : t =
   | Array { size = Length_field _; elem } -> empty_array ~model:(default elem) ()
 
 and default_record (r : Ptype.record) : t =
-  let entry (f : Ptype.field) =
-    let v =
-      match f.fdefault, f.ftype with
-      | Some c, Basic b -> of_const c ~ty:b
-      | Some _, _ -> type_error "default constant on complex field %S" f.fname
-      | None, ty -> default ty
-    in
-    { name = f.fname; v }
-  in
+  let entry (f : Ptype.field) = { name = f.fname; v = field_default default f } in
   Record (Array.of_list (List.map entry r.fields))
+
+(* A field's declared default constant, else [dflt] of its type. *)
+and field_default dflt (f : Ptype.field) =
+  match f.fdefault, f.ftype with
+  | Some c, Basic b -> of_const c ~ty:b
+  | Some _, _ -> type_error "default constant on complex field %S" f.fname
+  | None, ty -> dflt ty
+
+(* Type-specialised default and copy.  Both walk the type once, when
+   built; the returned closure then touches only the value.  Scalars are
+   immutable and shared; a variable array's growth model is built once and
+   shared by every array the closure makes, as models are only ever read
+   through [fill_for], which copies. *)
+
+(* Placeholder for entry arrays about to be filled. *)
+let dummy_entry = { name = ""; v = Int 0 }
+
+let rec maker (ty : Ptype.t) : unit -> t =
+  match ty with
+  | Basic b ->
+    let z = zero_basic b in
+    fun () -> z
+  | Record r ->
+    let fields = Array.of_list r.fields in
+    let names = Array.map (fun (f : Ptype.field) -> f.fname) fields in
+    let makes =
+      Array.map
+        (fun (f : Ptype.field) ->
+           match f.fdefault with
+           | None -> maker f.ftype
+           | Some _ ->
+             let z = field_default default f in
+             fun () -> z)
+        fields
+    in
+    let n = Array.length names in
+    fun () ->
+      let es = Array.make n dummy_entry in
+      for i = 0 to n - 1 do
+        es.(i) <- { name = names.(i); v = makes.(i) () }
+      done;
+      Record es
+  | Array { size = Fixed n; elem } ->
+    let mk = maker elem and model = Some (default elem) in
+    fun () -> Array { items = Array.init n (fun _ -> mk ()); len = n; model }
+  | Array { size = Length_field _; elem } ->
+    let model = Some (default elem) in
+    fun () -> Array { items = [||]; len = 0; model }
+
+let rec copier (ty : Ptype.t) : t -> t =
+  match ty with
+  | Basic _ -> Fun.id
+  | Record r ->
+    let cps = Array.of_list (List.map (fun (f : Ptype.field) -> copier f.ftype) r.fields) in
+    let n = Array.length cps in
+    (function
+      | Record es when Array.length es = n ->
+        let es' = Array.make n dummy_entry in
+        for i = 0 to n - 1 do
+          let e = es.(i) in
+          es'.(i) <- { name = e.name; v = cps.(i) e.v }
+        done;
+        Record es'
+      | v -> copy v)
+  | Array { elem = Basic _; _ } ->
+    (function
+      | Array d -> Array { items = Array.sub d.items 0 d.len; len = d.len; model = d.model }
+      | v -> copy v)
+  | Array { elem; _ } ->
+    let cp = copier elem and model = Some (default elem) in
+    (function
+      | Array d -> Array { items = Array.init d.len (fun i -> cp d.items.(i)); len = d.len; model }
+      | v -> copy v)
 
 (* Check that a value conforms to a type description. *)
 
@@ -287,25 +358,36 @@ let rec conforms (ty : Ptype.t) (v : t) : bool =
    [sync_lengths] fixes up the integer fields from the arrays (used by
    encoders and by the morphing pipeline after a transformation runs). *)
 
-let rec sync_lengths (r : Ptype.record) (v : t) : unit =
-  let es = entries v in
-  List.iteri
-    (fun i (f : Ptype.field) ->
-       match f.ftype with
-       | Basic _ -> ()
-       | Record r' -> sync_lengths r' es.(i).v
-       | Array { elem; size } ->
-         (match size with
-          | Fixed _ -> ()
-          | Length_field name ->
-            let n = array_len es.(i).v in
-            (match field_index es name with
-             | Some j ->
-               es.(j).v <- (match es.(j).v with Uint _ -> Uint n | _ -> Int n)
-             | None -> type_error "missing length field %S" name));
-         (match elem with
-          | Record r' ->
-            let d = dyn es.(i).v in
-            for k = 0 to d.len - 1 do sync_lengths r' d.items.(k) done
-          | Basic _ | Array _ -> ()))
-    r.fields
+(* Does a value of this type hold a variable array anywhere?  Subtrees
+   without one have no length to sync and are not walked. *)
+let rec has_var_array (ty : Ptype.t) : bool =
+  match ty with
+  | Basic _ -> false
+  | Record r -> List.exists (fun (f : Ptype.field) -> has_var_array f.ftype) r.fields
+  | Array { size = Length_field _; _ } -> true
+  | Array { size = Fixed _; elem } -> has_var_array elem
+
+let rec sync_lengths (r : Ptype.record) (v : t) : unit = sync_fields (entries v) 0 r.fields
+
+and sync_fields es i (fields : Ptype.field list) =
+  match fields with
+  | [] -> ()
+  | f :: rest ->
+    (match f.ftype with
+     | Basic _ -> ()
+     | Record r' -> if has_var_array f.ftype then sync_lengths r' es.(i).v
+     | Array { elem; size } ->
+       (match size with
+        | Fixed _ -> ()
+        | Length_field name ->
+          let n = array_len es.(i).v in
+          (match field_index es name with
+           | Some j ->
+             es.(j).v <- (match es.(j).v with Uint _ -> Uint n | _ -> Int n)
+           | None -> type_error "missing length field %S" name));
+       (match elem with
+        | Record r' when has_var_array elem ->
+          let d = dyn es.(i).v in
+          for k = 0 to d.len - 1 do sync_lengths r' d.items.(k) done
+        | Basic _ | Record _ | Array _ -> ()));
+    sync_fields es (i + 1) rest

@@ -33,6 +33,45 @@ let test_lexer_tokens () =
   Alcotest.(check bool) "float exp" true (List.mem (Ecode.Token.Float_lit 150.0) kinds);
   Alcotest.(check bool) "<=" true (List.mem (Ecode.Token.Op "<=") kinds)
 
+let token = Alcotest.testable Ecode.Token.pp ( = )
+
+let token_stream src =
+  List.map (fun (s : Ecode.Token.spanned) -> s.Ecode.Token.tok) (Ecode.Lexer.tokenize src)
+
+(* Every operator, every keyword, and the maximal-munch boundaries. *)
+let test_lexer_token_stream () =
+  let open Ecode.Token in
+  let check src expected =
+    Alcotest.(check (list token)) src (expected @ [ Eof ]) (token_stream src)
+  in
+  let operators =
+    [ "<<="; ">>="; "=="; "!="; "<="; ">="; "&&"; "||"; "++"; "--"; "+="; "-=";
+      "*="; "/="; "%="; "<<"; ">>"; "&="; "|="; "^="; "+"; "-"; "*"; "/"; "%";
+      "="; "<"; ">"; "!"; "."; ","; ";"; "("; ")"; "{"; "}"; "["; "]"; "?"; ":";
+      "&"; "|"; "^"; "~" ]
+  in
+  List.iter (fun o -> check o [ Op o ]) operators;
+  check (String.concat " " operators) (List.map (fun o -> Op o) operators);
+  List.iter (fun k -> check k [ Kw k ]) keywords;
+  check (String.concat "\n" keywords) (List.map (fun k -> Kw k) keywords);
+  (* a keyword prefix does not make a keyword *)
+  check "iff int_x returns _do do2" [ Ident "iff"; Ident "int_x"; Ident "returns"; Ident "_do"; Ident "do2" ];
+  (* maximal munch *)
+  check "a<<=b" [ Ident "a"; Op "<<="; Ident "b" ];
+  check "a>>=b" [ Ident "a"; Op ">>="; Ident "b" ];
+  check "a--b" [ Ident "a"; Op "--"; Ident "b" ];
+  check "x+=1" [ Ident "x"; Op "+="; Int_lit 1 ];
+  check "a+++b" [ Ident "a"; Op "++"; Op "+"; Ident "b" ];
+  check "a<<<=b" [ Ident "a"; Op "<<"; Op "<="; Ident "b" ];
+  check "a&&&b" [ Ident "a"; Op "&&"; Op "&"; Ident "b" ];
+  check "!==" [ Op "!="; Op "=" ];
+  check "a->b" [ Ident "a"; Op "-"; Op ">"; Ident "b" ];
+  check "x[i]=-1;" [ Ident "x"; Op "["; Ident "i"; Op "]"; Op "="; Op "-"; Int_lit 1; Op ";" ];
+  (* an operator prefix at the very end of the source *)
+  check "a<" [ Ident "a"; Op "<" ];
+  check "a<<" [ Ident "a"; Op "<<" ];
+  check "a>>" [ Ident "a"; Op ">>" ]
+
 let test_lexer_errors () =
   let expect_lex_error src =
     try
@@ -169,6 +208,7 @@ let test_pp_preserves_semantics () =
 let suite =
   [
     Alcotest.test_case "lexer: token kinds" `Quick test_lexer_tokens;
+    Alcotest.test_case "lexer: token stream" `Quick test_lexer_token_stream;
     Alcotest.test_case "lexer: errors" `Quick test_lexer_errors;
     Alcotest.test_case "parser: statement forms" `Quick test_parser_statements;
     Alcotest.test_case "parser: errors" `Quick test_parser_errors;

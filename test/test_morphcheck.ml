@@ -61,6 +61,27 @@ let test_evolve_specs_compile () =
       c.Evolve.steps
   done
 
+(* The loop-bearing transforms compile, run without error, and between
+   them cover every template within a small campaign. *)
+let test_loopgen_covers_templates () =
+  let module L = Morphcheck.Loopgen in
+  Helpers.check_valid (Ptype.validate L.src);
+  Helpers.check_valid (Ptype.validate L.dst);
+  let seen = Hashtbl.create 8 in
+  for i = 0 to 49 do
+    let s = st (3000 + i) in
+    let c = L.gen s in
+    List.iter (fun f -> Hashtbl.replace seen f ()) c.L.features;
+    match Ecode.compile_xform ~src:L.src ~dst:L.dst c.L.code with
+    | Ok f ->
+      let out = f (Morphcheck.Gen.value_for L.src s) in
+      Alcotest.(check bool) "output conforms" true (Value.conforms (Ptype.Record L.dst) out)
+    | Error e -> Alcotest.failf "loop transform does not compile: %s@.%s" e c.L.code
+  done;
+  List.iter
+    (fun f -> Alcotest.(check bool) ("template drawn: " ^ f) true (Hashtbl.mem seen f))
+    L.features
+
 let test_evolve_formats_distinct () =
   for i = 0 to 49 do
     let s = st (3000 + i) in
@@ -204,6 +225,8 @@ let suite =
     Alcotest.test_case "evolve: generated formats validate" `Quick
       test_evolve_formats_validate;
     Alcotest.test_case "evolve: rollback specs compile" `Quick test_evolve_specs_compile;
+    Alcotest.test_case "loopgen: transforms compile and cover every template" `Quick
+      test_loopgen_covers_templates;
     Alcotest.test_case "evolve: chain formats pairwise distinct" `Quick
       test_evolve_formats_distinct;
     Alcotest.test_case "fuzz: mutate is total" `Quick test_fuzz_total;

@@ -175,14 +175,35 @@ let test_sizeof_unencoded_model () =
 
 (* --- properties ---------------------------------------------------------------- *)
 
+(* No record entry array, entry or array buffer of [a] is one of [b]'s. *)
+let rec shares_nothing (a : Value.t) (b : Value.t) =
+  match a, b with
+  | Record e1, Record e2 ->
+    e1 != e2
+    && Array.for_all2 (fun (x : Value.entry) y -> x != y && shares_nothing x.v y.v) e1 e2
+  | Array d1, Array d2 ->
+    d1 != d2
+    && (d1.len = 0 || d1.items != d2.items)
+    && List.for_all (fun i -> shares_nothing d1.items.(i) d2.items.(i)) (List.init d1.len Fun.id)
+  | _ -> true
+
+(* [copy] and the type-specialised [copier] are equal, deep copies *)
 let prop_copy_equal =
   QCheck.Test.make ~name:"copy is equal" ~count:200 Helpers.arb_format_and_value
-    (fun (_, v) -> Value.equal v (Value.copy v))
+    (fun (r, v) ->
+       let c = Value.copier (Ptype.Record r) v in
+       Value.equal v (Value.copy v) && Value.equal v c && shares_nothing v c)
 
+(* [default_record] and the type-specialised [maker] agree; each call of
+   a maker builds a fresh value *)
 let prop_default_conforms =
   QCheck.Test.make ~name:"default value conforms to its format" ~count:200
     Helpers.arb_format (fun r ->
-        Value.conforms (Ptype.Record r) (Value.default_record r))
+        let make = Value.maker (Ptype.Record r) in
+        let a = make () and b = make () in
+        Value.conforms (Ptype.Record r) (Value.default_record r)
+        && Value.equal a (Value.default_record r)
+        && shares_nothing a b)
 
 let prop_generated_value_conforms =
   QCheck.Test.make ~name:"generated values conform" ~count:200
