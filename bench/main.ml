@@ -43,7 +43,7 @@
    --check-alloc exits non-zero unless the fused morph plan allocates at
    most a quarter of the staged bytes at the ~100 KB point.
    --check-ecode exits non-zero unless the compiled Figure 5 transform
-   (abl1) allocates at most 1,500 bytes per member at the 10 KB point. *)
+   (abl1) allocates at most 700 bytes per member at the 10 KB point. *)
 
 open Pbio
 module WF = Echo.Wire_formats
@@ -236,7 +236,7 @@ let abl1 () =
   H.row "   compiled allocation: %.0f B/member (%d members)\n" per_member p.members
 
 (* The CI guard on the typed Ecode lowering: the compiled Figure 5
-   transform must allocate at most 1,500 bytes per member at the 10 KB
+   transform must allocate at most 700 bytes per member at the 10 KB
    point.  Allocation is a deterministic count, so the bound needs no
    noise slack; the compiled/interpreted time ratio is reported but not
    gated. *)
@@ -247,10 +247,10 @@ let check_ecode () : int =
     1
   | Some (per_member, c, i) ->
     Printf.printf
-      "check-ecode @10KB: compiled Figure 5 allocates %.0f B/member (need <= 1500); \
+      "check-ecode @10KB: compiled Figure 5 allocates %.0f B/member (need <= 700); \
        compiled is %.1fx the interpreter (not gated)\n"
       per_member (i /. c);
-    if per_member <= 1500. then 0
+    if per_member <= 700. then 0
     else begin
       prerr_endline "check-ecode: FAILED — compiled Ecode allocation regressed";
       1

@@ -126,8 +126,11 @@ let rec seq : (frame -> unit) list -> frame -> unit = function
 
 (* Where an lvalue lives.  A field or index place holds the composed
    navigation to its container; an intermediate index one past the end
-   appends a single fresh default on the way (so [old.list[n].f = x]
-   extends the list). *)
+   appends a single fresh default on the way.  An lvalue ending in
+   [[ix].f] is an element-field place: a store with [ix] one past the end
+   appends one element built around the stored value (so
+   [old.list[n].f = x] extends the list without building a default for
+   [f] that the store would replace). *)
 type place =
   | Pint of int (* int-class local slot *)
   | Pfloat of int (* float local slot *)
@@ -136,6 +139,9 @@ type place =
   | Pfield of (frame -> Value.t) * int
   | Pindex of (frame -> Value.t) * (frame -> int) * (unit -> Value.t)
   (* container, index, default for gap slots *)
+  | Pelem_field of (frame -> Value.t) * (frame -> int) * int * (unit -> Value.t)
+                   * (Value.t -> Value.t)
+  (* array, index, field, default element, element around a field value *)
 
 (* Compiled user function bodies, patched after all bodies are compiled so
    that (mutual) recursion works. *)
@@ -458,6 +464,9 @@ and compile_place cx (lv : tlval) : place =
   let rec go cont = function
     | [] -> assert false
     | [ Sfield i ] -> Pfield (cont, i)
+    | [ Sindex (ix, (Record _ as elem_ty)); Sfield i ] ->
+      Pelem_field
+        (cont, compile_int cx ix, i, Value.maker elem_ty, Value.maker_around elem_ty i)
     | [ Sindex (ix, elem_ty) ] -> Pindex (cont, compile_int cx ix, Value.maker elem_ty)
     | Sfield i :: rest -> go (fun f -> Value.field_at (cont f) i) rest
     | Sindex (ix, elem_ty) :: rest ->
@@ -521,6 +530,14 @@ and store_value cx (lty : ty) (p : place) (rhs : texpr) : frame -> Value.t =
       let a = cont f in
       store_index make a (ci f) v;
       v
+  | Pelem_field (cont, ci, fi, _, around) ->
+    fun f ->
+      let v = cr f in
+      let a = cont f in
+      let i = ci f in
+      if i = Value.array_len a then Value.array_push a (around v)
+      else Value.set_at (Value.array_get a i) fi v;
+      v
   | Pint _ | Pfloat _ -> assert false
 
 (* Replace the value at a boxed place by [g] of it; the closure returns
@@ -549,6 +566,15 @@ and update_boxed (p : place) (g : Value.t -> Value.t) : frame -> Value.t =
       let i = ci f in
       let old = Value.array_get a i in
       Value.array_set a i (g old);
+      old
+  | Pelem_field (cont, ci, fi, make, _) ->
+    fun f ->
+      let a = cont f in
+      let i = ci f in
+      if i = Value.array_len a then Value.array_push a (make ());
+      let r = Value.array_get a i in
+      let old = Value.field_at r fi in
+      Value.set_at r fi (g old);
       old
   | Pint _ | Pfloat _ -> assert false
 

@@ -156,7 +156,9 @@ let default_for_dtyp : Ast.dtyp -> Value.t = function
    Containers along the path are evaluated in lvalue context: indexing one
    past the end of an array grows it (using the array's model element), so
    code like [old.list[n].f = x] extends the list just as the compiled
-   engine does. *)
+   engine does.  A store past the end is coerced to the array's element
+   model, so an appended record is a copy and an appended scalar takes the
+   element type, as every other store does. *)
 let rec resolve_lval env (e : Ast.expr) : (unit -> Value.t) * (Value.t -> unit) =
   match e.Ast.e with
   | Ident name ->
@@ -173,12 +175,15 @@ let rec resolve_lval env (e : Ast.expr) : (unit -> Value.t) * (Value.t -> unit) 
     let i = Value.to_int (eval env ix) in
     ( (fun () -> Value.array_get container i),
       fun v ->
-        let v =
-          if i < Value.array_len container then
-            coerce_to_model (Value.array_get container i) v
-          else v
+        let d = Value.dyn container in
+        let model =
+          if i >= 0 && i < d.len then d.items.(i)
+          else
+            match d.model with
+            | Some m -> m
+            | None -> if d.len > 0 then d.items.(d.len - 1) else v
         in
-        Value.array_set container i v )
+        Value.array_set container i (coerce_to_model model v) )
   | _ -> runtime_error "expression is not assignable"
 
 (* Evaluate the container part of an lvalue path, growing arrays when an
@@ -224,6 +229,12 @@ and eval env (e : Ast.expr) : Value.t =
     (match Hashtbl.find_opt env.funs name with
      | Some f -> eval_user_call env f (List.map (eval env) args)
      | None -> eval_call env name (List.map (eval env) args))
+  | Assign (Set, lhs, rhs) ->
+    (* the right side first, then the place, as compiled code does *)
+    let v = eval env rhs in
+    let get, set = resolve_lval env lhs in
+    set v;
+    get ()
   | Assign (op, lhs, rhs) ->
     let get, set = resolve_lval env lhs in
     let v = eval env rhs in

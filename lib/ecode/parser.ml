@@ -51,6 +51,27 @@ let assign_op_of = function
   | "%=" -> Some Ast.Mod_eq
   | _ -> None
 
+let binop_of = function
+  | "||" -> Some (1, Ast.Or)
+  | "&&" -> Some (2, Ast.And)
+  | "|" -> Some (3, Ast.Bor)
+  | "^" -> Some (4, Ast.Bxor)
+  | "&" -> Some (5, Ast.Band)
+  | "==" -> Some (6, Ast.Eq)
+  | "!=" -> Some (6, Ast.Ne)
+  | "<" -> Some (7, Ast.Lt)
+  | "<=" -> Some (7, Ast.Le)
+  | ">" -> Some (7, Ast.Gt)
+  | ">=" -> Some (7, Ast.Ge)
+  | "<<" -> Some (8, Ast.Shl)
+  | ">>" -> Some (8, Ast.Shr)
+  | "+" -> Some (9, Ast.Add)
+  | "-" -> Some (9, Ast.Sub)
+  | "*" -> Some (10, Ast.Mul)
+  | "/" -> Some (10, Ast.Div)
+  | "%" -> Some (10, Ast.Mod)
+  | _ -> None
+
 let rec parse_expr st : Ast.expr =
   (* assignment, right associative, lowest precedence *)
   let lhs = parse_cond st in
@@ -74,40 +95,23 @@ and parse_cond st : Ast.expr =
   end
   else c
 
-and parse_or st = parse_left st [ ("||", Ast.Or) ] parse_and
-and parse_and st = parse_left st [ ("&&", Ast.And) ] parse_bor
-and parse_bor st = parse_left st [ ("|", Ast.Bor) ] parse_bxor
-and parse_bxor st = parse_left st [ ("^", Ast.Bxor) ] parse_band
-and parse_band st = parse_left st [ ("&", Ast.Band) ] parse_equality
+(* Binary operators by precedence climbing over one table: a higher level
+   binds tighter, and every level is left-associative. *)
+and parse_or st = parse_binary st 1
 
-and parse_equality st = parse_left st [ ("==", Ast.Eq); ("!=", Ast.Ne) ] parse_relational
-
-and parse_relational st =
-  parse_left st
-    [ ("<", Ast.Lt); ("<=", Ast.Le); (">", Ast.Gt); (">=", Ast.Ge) ]
-    parse_shift
-
-and parse_shift st = parse_left st [ ("<<", Ast.Shl); (">>", Ast.Shr) ] parse_additive
-
-and parse_additive st = parse_left st [ ("+", Ast.Add); ("-", Ast.Sub) ] parse_multiplicative
-
-and parse_multiplicative st =
-  parse_left st [ ("*", Ast.Mul); ("/", Ast.Div); ("%", Ast.Mod) ] parse_unary
-
-and parse_left st table parse_next : Ast.expr =
-  let lhs = parse_next st in
+and parse_binary st min_level : Ast.expr =
   let rec go lhs =
     match peek_tok st with
     | Op o ->
-      (match List.assoc_opt o table with
-       | Some op ->
+      (match binop_of o with
+       | Some (level, op) when level >= min_level ->
          let t = next st in
-         let rhs = parse_next st in
+         let rhs = parse_binary st (level + 1) in
          go { Ast.e = Binop (op, lhs, rhs); eloc = t.Token.loc }
-       | None -> lhs)
+       | _ -> lhs)
     | _ -> lhs
   in
-  go lhs
+  go (parse_unary st)
 
 and parse_unary st : Ast.expr =
   let t = peek st in

@@ -15,12 +15,13 @@
      switch     switch with fallthrough, break and continue
      funcs      user functions with int and float parameters, recursion
      loops      while / do-while with break and continue, the ternary
+     appends    scalar appends that convert (int into a float array, float
+                into an int array) and whole-record appends from the
+                output, whose source is then changed
 
    The templates stay inside the language subset on which the two engines
-   agree: scalar array appends store a value already of the element type
-   (the interpreter does not coerce an append), compound assignments and
-   ++/-- only target elements that exist, and whole records are appended
-   from the input only. *)
+   agree: compound assignments and ++/-- only target elements that
+   exist. *)
 
 open Pbio
 open Rgen
@@ -77,6 +78,8 @@ let dst =
       Ptype.field "hist" (Ptype.array_fixed 4 Ptype.int_);
       Ptype.field "log_len" Ptype.int_;
       Ptype.field "log" (Ptype.array_var "log_len" Ptype.int_);
+      Ptype.field "flog_len" Ptype.int_;
+      Ptype.field "flog" (Ptype.array_var "flog_len" Ptype.float_);
     ]
 
 type case = {
@@ -84,7 +87,8 @@ type case = {
   code : string;
 }
 
-let features = [ "filtered"; "incdec"; "compound"; "nested"; "switch"; "funcs"; "loops" ]
+let features =
+  [ "filtered"; "incdec"; "compound"; "nested"; "switch"; "funcs"; "loops"; "appends" ]
 
 let pf = Printf.sprintf
 
@@ -203,9 +207,28 @@ let loops : string t =
     old.flag = old.flag || (new.items[i].a > 0 && !new.items[i].keep);|}
        (stop + 2) k stop (k - 2))
 
+(* Appends the engines once disagreed on: the stored value converts to
+   the element type, and an appended record is a copy of its source. *)
+let appends : string t =
+  let* m = int_range 2 9 in
+  let* k = int_range 1 9 in
+  return
+    (pf
+       {|old.flog[fc++] = new.items[i].a %% %d;
+    old.log[lc++] = new.items[i].x * %d;
+    old.kept[kc].a = new.items[i].a;
+    old.kept[kc].sub.s = new.tag;
+    old.dropped[dc] = old.kept[kc];
+    old.kept[kc].sub.p += %d;
+    old.kept[kc].a = old.kept[kc].a - %d;
+    kc++;
+    dc++;|}
+       m k k m)
+
 let templates =
   [ ("filtered", filtered); ("incdec", incdec); ("compound", compound);
-    ("nested", nested); ("switch", switch); ("funcs", funcs); ("loops", loops) ]
+    ("nested", nested); ("switch", switch); ("funcs", funcs); ("loops", loops);
+    ("appends", appends) ]
 
 let prelude =
   {|int clampi(int v, int lo, int hi) {
@@ -215,7 +238,7 @@ let prelude =
 }
 float blend(float x, int k) { return x * k + 0.25; }
 int tri(int n) { if (n <= 0) return 0; return n + tri(n - 1); }
-int i, j, t, kc = 0, dc = 0, bc = 0, lc = 0, d = 3;
+int i, j, t, kc = 0, dc = 0, bc = 0, lc = 0, fc = 0, d = 3;
 float acc = 0.0;
 old.tag = new.tag;
 |}

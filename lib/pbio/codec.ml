@@ -1054,13 +1054,9 @@ and comp_morph_record endian (src : Ptype.record) (dst : Ptype.record) :
        | Some i -> target_of.(i) <- j
        | None -> ())
     dst_fields;
-  (* how each target slot is produced: fused in wire order into [tmp], or
-     defaulted at assembly time *)
-  let finals =
-    Array.init (max nt 1) (fun j ->
-        if j < nt then `Default (Convert.field_default dst_fields.(j))
-        else `Default (fun () -> Value.Int 0))
-  in
+  (* how each target entry is produced: fused in wire order, straight
+     into the entry, or defaulted when the target is built *)
+  let finals = Array.init nt (fun j -> `Default (Convert.field_default dst_fields.(j))) in
   (* dropped fixed-width fields become [`Fskip] spans ([coalesce_skips]) *)
   let raw =
     List.init nf (fun i ->
@@ -1080,18 +1076,18 @@ and comp_morph_record endian (src : Ptype.record) (dst : Ptype.record) :
             in
             (match co with
              | Some co ->
-               finals.(j) <- `Tmp;
+               finals.(j) <- `Fused;
                `Step
-                 (fun cur lens tmp ->
+                 (fun cur lens es ->
                     let v = dec cur lens in
                     lens.(k) <- v;
-                    tmp.(j) <- co v)
+                    es.(j).Value.v <- co v)
              | None -> `Step (fun cur lens _ -> lens.(k) <- dec cur lens))
           | None ->
             (match comp_morph_type endian lf sty dty with
              | Some dec ->
-               finals.(j) <- `Tmp;
-               `Step (fun cur lens tmp -> tmp.(j) <- dec cur lens)
+               finals.(j) <- `Fused;
+               `Step (fun cur lens es -> es.(j).Value.v <- dec cur lens)
              | None ->
                (match fixed_span sty with
                 | Some n -> `Fskip n
@@ -1123,40 +1119,24 @@ and comp_morph_record endian (src : Ptype.record) (dst : Ptype.record) :
          raw)
   in
   let ns = Array.length steps in
-  (* assembly closures resolved now: pull from [tmp] or build the default *)
-  let g =
-    Array.init (max nt 1) (fun j ->
+  (* The target is built first, each fused entry holding a placeholder
+     until its step stores the decoded value into it. *)
+  let placeholder = Value.Int 0 in
+  let target =
+    Value.record_builder nt (fun j ->
+        let name = tnames.(j) in
         match finals.(j) with
-        | `Tmp -> fun tmp -> tmp.(j)
-        | `Default d -> fun _ -> d ())
-  in
-  let assemble : Value.t array -> Value.t =
-    match g, tnames with
-    | [| g0 |], [| n0 |] -> fun tmp -> Value.Record [| { Value.name = n0; v = g0 tmp } |]
-    | [| g0; g1 |], [| n0; n1 |] ->
-      fun tmp ->
-        Value.Record
-          [| { Value.name = n0; v = g0 tmp }; { Value.name = n1; v = g1 tmp } |]
-    | [| g0; g1; g2 |], [| n0; n1; n2 |] ->
-      fun tmp ->
-        Value.Record
-          [| { Value.name = n0; v = g0 tmp }; { Value.name = n1; v = g1 tmp };
-             { Value.name = n2; v = g2 tmp } |]
-    | [| g0; g1; g2; g3 |], [| n0; n1; n2; n3 |] ->
-      fun tmp ->
-        Value.Record
-          [| { Value.name = n0; v = g0 tmp }; { Value.name = n1; v = g1 tmp };
-             { Value.name = n2; v = g2 tmp }; { Value.name = n3; v = g3 tmp } |]
-    | _ ->
-      fun tmp -> Value.Record (Array.init nt (fun j -> { Value.name = tnames.(j); v = g.(j) tmp }))
+        | `Fused -> fun () -> { Value.name; v = placeholder }
+        | `Default d -> fun () -> { Value.name; v = d () })
   in
   fun cur ->
     let lens = if nslots = 0 then no_lens else Array.make nslots (Value.Int 0) in
-    let tmp = Array.make (max nt 1) (Value.Int 0) in
+    let r = target () in
+    let es = Value.entries r in
     for i = 0 to ns - 1 do
-      steps.(i) cur lens tmp
+      steps.(i) cur lens es
     done;
-    assemble tmp
+    r
 
 let compile_morph ~endian ~(from_ : Ptype.record) ~(into : Ptype.record) : morpher =
   timed_compile (fun () ->

@@ -75,13 +75,23 @@ let to_string_exn = function
   | String s -> s
   | _ -> type_error "expected string value"
 
-let entries = function
-  | Record es -> es
-  | _ -> type_error "expected record value"
+(* The navigation accessors below are small and [@inline]; their error
+   paths live out of line, so the inlined fast path is a tag test and a
+   load. *)
 
-let dyn = function
+let[@inline never] not_a_record () = type_error "expected record value"
+let[@inline never] not_an_array () = type_error "expected array value"
+
+let[@inline never] out_of_bounds i len =
+  type_error "array index %d out of bounds (len %d)" i len
+
+let[@inline] entries = function
+  | Record es -> es
+  | _ -> not_a_record ()
+
+let[@inline] dyn = function
   | Array d -> d
-  | _ -> type_error "expected array value"
+  | _ -> not_an_array ()
 
 (* Record field access by name (slow path; compiled code resolves indexes
    once and uses {!field_at}/{!set_at}). *)
@@ -108,8 +118,8 @@ let set_field v name x =
 
 let has_field v name = field_index (entries v) name <> None
 
-let field_at v i = (entries v).(i).v
-let set_at v i x = (entries v).(i).v <- x
+let[@inline] field_at v i = (entries v).(i).v
+let[@inline] set_at v i x = (entries v).(i).v <- x
 
 (* Deep copy (also used to fill growing arrays). *)
 let rec copy = function
@@ -122,11 +132,11 @@ let rec copy = function
 (* Array access.  [array_set] grows the array on writes one past the end so
    that transformation code can build a target list incrementally. *)
 
-let array_len v = (dyn v).len
+let[@inline] array_len v = (dyn v).len
 
-let array_get v i =
+let[@inline] array_get v i =
   let d = dyn v in
-  if i < 0 || i >= d.len then type_error "array index %d out of bounds (len %d)" i d.len;
+  if i < 0 || i >= d.len then out_of_bounds i d.len;
   d.items.(i)
 
 let grow d fill wanted =
@@ -266,14 +276,68 @@ and field_default dflt (f : Ptype.field) =
   | Some _, _ -> type_error "default constant on complex field %S" f.fname
   | None, ty -> dflt ty
 
+(* Straight-line record construction, shared by {!maker}, {!maker_around}
+   and {!copier}.  [record_builder n entry] builds records of [n] entries,
+   entry [i] from [entry i x], in index order.  Small arities allocate the
+   entry array as a literal: every entry gets its final value through an
+   initializing store, with no [Array.make] (a C call), no placeholder pass
+   and no write barrier. *)
+let record_builder n (entry : int -> 'a -> entry) : 'a -> t =
+  match n with
+  | 0 -> fun _ -> Record [||]
+  | 1 ->
+    let e0 = entry 0 in
+    fun x -> Record [| e0 x |]
+  | 2 ->
+    let e0 = entry 0 and e1 = entry 1 in
+    fun x ->
+      let a0 = e0 x in
+      let a1 = e1 x in
+      Record [| a0; a1 |]
+  | 3 ->
+    let e0 = entry 0 and e1 = entry 1 and e2 = entry 2 in
+    fun x ->
+      let a0 = e0 x in
+      let a1 = e1 x in
+      let a2 = e2 x in
+      Record [| a0; a1; a2 |]
+  | 4 ->
+    let e0 = entry 0 and e1 = entry 1 and e2 = entry 2 and e3 = entry 3 in
+    fun x ->
+      let a0 = e0 x in
+      let a1 = e1 x in
+      let a2 = e2 x in
+      let a3 = e3 x in
+      Record [| a0; a1; a2; a3 |]
+  | 5 ->
+    let e0 = entry 0 and e1 = entry 1 and e2 = entry 2 and e3 = entry 3 and e4 = entry 4 in
+    fun x ->
+      let a0 = e0 x in
+      let a1 = e1 x in
+      let a2 = e2 x in
+      let a3 = e3 x in
+      let a4 = e4 x in
+      Record [| a0; a1; a2; a3; a4 |]
+  | 6 ->
+    let e0 = entry 0 and e1 = entry 1 and e2 = entry 2 and e3 = entry 3 and e4 = entry 4
+    and e5 = entry 5 in
+    fun x ->
+      let a0 = e0 x in
+      let a1 = e1 x in
+      let a2 = e2 x in
+      let a3 = e3 x in
+      let a4 = e4 x in
+      let a5 = e5 x in
+      Record [| a0; a1; a2; a3; a4; a5 |]
+  | _ ->
+    let es = Array.init n entry in
+    fun x -> Record (Array.map (fun e -> e x) es)
+
 (* Type-specialised default and copy.  Both walk the type once, when
    built; the returned closure then touches only the value.  Scalars are
    immutable and shared; a variable array's growth model is built once and
    shared by every array the closure makes, as models are only ever read
    through [fill_for], which copies. *)
-
-(* Placeholder for entry arrays about to be filled. *)
-let dummy_entry = { name = ""; v = Int 0 }
 
 let rec maker (ty : Ptype.t) : unit -> t =
   match ty with
@@ -282,24 +346,7 @@ let rec maker (ty : Ptype.t) : unit -> t =
     fun () -> z
   | Record r ->
     let fields = Array.of_list r.fields in
-    let names = Array.map (fun (f : Ptype.field) -> f.fname) fields in
-    let makes =
-      Array.map
-        (fun (f : Ptype.field) ->
-           match f.fdefault with
-           | None -> maker f.ftype
-           | Some _ ->
-             let z = field_default default f in
-             fun () -> z)
-        fields
-    in
-    let n = Array.length names in
-    fun () ->
-      let es = Array.make n dummy_entry in
-      for i = 0 to n - 1 do
-        es.(i) <- { name = names.(i); v = makes.(i) () }
-      done;
-      Record es
+    record_builder (Array.length fields) (fun i -> field_entry fields.(i))
   | Array { size = Fixed n; elem } ->
     let mk = maker elem and model = Some (default elem) in
     fun () -> Array { items = Array.init n (fun _ -> mk ()); len = n; model }
@@ -307,20 +354,50 @@ let rec maker (ty : Ptype.t) : unit -> t =
     let model = Some (default elem) in
     fun () -> Array { items = [||]; len = 0; model }
 
+(* A fresh entry holding the field's default; the argument is ignored. *)
+and field_entry : 'a. Ptype.field -> 'a -> entry =
+  fun f ->
+  let name = f.fname in
+  match f.fdefault, f.ftype with
+  | None, ((Record _ | Array _) as ty) ->
+    let mk = maker ty in
+    fun _ -> { name; v = mk () }
+  | _ ->
+    let z = field_default default f in
+    fun _ -> { name; v = z }
+
+let maker_around (ty : Ptype.t) i : t -> t =
+  match ty with
+  | Record r when i >= 0 && i < List.length r.fields ->
+    let fields = Array.of_list r.fields in
+    record_builder (Array.length fields) (fun j ->
+        if j = i then
+          let name = fields.(j).fname in
+          fun v -> { name; v }
+        else field_entry fields.(j))
+  | _ -> invalid_arg "Value.maker_around: not a record type with that field"
+
 let rec copier (ty : Ptype.t) : t -> t =
   match ty with
   | Basic _ -> Fun.id
   | Record r ->
-    let cps = Array.of_list (List.map (fun (f : Ptype.field) -> copier f.ftype) r.fields) in
-    let n = Array.length cps in
+    let fields = Array.of_list r.fields in
+    let n = Array.length fields in
+    let build =
+      record_builder n (fun i ->
+          match fields.(i).ftype with
+          | Basic _ ->
+            fun es ->
+              let e = Array.unsafe_get es i in
+              { name = e.name; v = e.v }
+          | ty ->
+            let cp = copier ty in
+            fun es ->
+              let e = Array.unsafe_get es i in
+              { name = e.name; v = cp e.v })
+    in
     (function
-      | Record es when Array.length es = n ->
-        let es' = Array.make n dummy_entry in
-        for i = 0 to n - 1 do
-          let e = es.(i) in
-          es'.(i) <- { name = e.name; v = cps.(i) e.v }
-        done;
-        Record es'
+      | Record es when Array.length es = n -> build es
       | v -> copy v)
   | Array { elem = Basic _; _ } ->
     (function

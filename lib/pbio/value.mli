@@ -65,7 +65,9 @@ val get_field : t -> string -> t
 val set_field : t -> string -> t -> unit
 val has_field : t -> string -> bool
 
-(** Positional access, used by compiled code after name resolution. *)
+(** Positional access, used by compiled code after name resolution.  The
+    positional and array accessors are marked for inlining, with their
+    error paths out of line. *)
 val field_at : t -> int -> t
 
 val set_at : t -> int -> t -> unit
@@ -113,11 +115,25 @@ val default : Ptype.t -> t
 
 val default_record : Ptype.record -> t
 
+(** [record_builder n entry] builds records of [n] entries, entry [i]
+    being [entry i x] (called in index order).  Small arities allocate the
+    entry array as a literal, each entry stored once with its final value;
+    {!maker}, {!maker_around}, {!copier} and the fused morph plans build
+    their records with it. *)
+val record_builder : int -> (int -> 'a -> entry) -> 'a -> t
+
 (** [maker ty] is {!default} specialised to [ty]: the type is walked once,
     and each call of the result builds a fresh default value.  Scalar
     fields and variable-array growth models are shared between the values
     it builds. *)
 val maker : Ptype.t -> unit -> t
+
+(** [maker_around ty i] builds a fresh default of the record type [ty]
+    whose field [i] holds the given value; the default of field [i] is
+    never built.  Other fields are as {!maker} builds them, declared
+    default constants included.  Raises [Invalid_argument] unless [ty] is
+    a record type with a field [i]. *)
+val maker_around : Ptype.t -> int -> t -> t
 
 (** [copier ty] is {!copy} specialised to values of type [ty] (or of the
     same shape): scalars are shared, not walked.  A copied array of

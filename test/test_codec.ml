@@ -114,6 +114,33 @@ let test_fused_equals_staged_on_fixtures () =
       in
       Alcotest.check Helpers.value "v2 -> v1 fused = staged" staged fused)
 
+(* Fused = staged at every target arity of the record builders (1-6 are
+   straight-line rungs, 7 the fallback); the source adds a field the
+   target drops, so the morph is not a plain decode. *)
+let test_fused_equals_staged_every_arity () =
+  for n = 1 to 7 do
+    let field i =
+      Ptype.field (Printf.sprintf "f%d" i) (if i mod 2 = 0 then Ptype.int_ else Ptype.string_)
+    in
+    let into = Ptype.record "T" (List.init n field) in
+    let from_ = Ptype.record "T" (List.init n field @ [ Ptype.field "extra" Ptype.float_ ]) in
+    let v =
+      Value.record
+        (List.init n (fun i ->
+             ( Printf.sprintf "f%d" i,
+               if i mod 2 = 0 then Value.Int (i + 1) else Value.String (string_of_int i) ))
+         @ [ ("extra", Value.Float 0.5) ])
+    in
+    both_endians (fun endian ->
+        let payload = Codec.encode_payload (Codec.compile_encode ~endian from_) v in
+        let staged =
+          Convert.compile ~from_ ~into
+            (Codec.decode_payload (Codec.compile_decode ~endian from_) payload)
+        in
+        let fused = Codec.morph_payload (Codec.compile_morph ~endian ~from_ ~into) payload in
+        Alcotest.check Helpers.value (Printf.sprintf "%d fields: fused = staged" n) staged fused)
+  done
+
 let test_fused_skipped_length_field_still_sizes () =
   (* [n] is dropped by the target but sizes the source array: the fused
      plan must still read it to know how many elements to consume *)
@@ -346,4 +373,6 @@ let suite =
     Alcotest.test_case "fused plans cached" `Quick test_morph_plan_cached;
     Alcotest.test_case "lru keeps the hot format under churn" `Quick
       test_plan_cache_lru_keeps_hot_format;
+    Alcotest.test_case "fused = staged at every builder arity" `Quick
+      test_fused_equals_staged_every_arity;
   ]

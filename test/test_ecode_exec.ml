@@ -38,10 +38,11 @@ let scratch_fmt =
 
 let fresh () = Value.default_record scratch_fmt
 
-let both name code (checks : Value.t -> unit) : unit Alcotest.test_case list =
+let both ?(fmt = scratch_fmt) name code (checks : Value.t -> unit) :
+  unit Alcotest.test_case list =
   let case engine label =
     Alcotest.test_case (name ^ " [" ^ label ^ "]") `Quick (fun () ->
-        checks (run_with ~engine ~fmt:scratch_fmt code (fresh ())))
+        checks (run_with ~engine ~fmt code (Value.default_record fmt)))
   in
   [ case `Compiled "compiled"; case `Interp "interp" ]
 
@@ -431,6 +432,84 @@ let gap_fill_cases =
        in
        Alcotest.(check (list int)) "ports" [ 0; 9; 0; 0 ] (List.init 4 port))
 
+(* A store past the end of an array is an append: the appended element is
+   a copy of a record source, and a scalar takes the element type. *)
+let append_copies_cases =
+  both "append: a whole record appended is a copy"
+    {| io.members[0].ID = 1;
+       io.srcs[0] = io.members[0];
+       io.members[0].ID = 5;
+       io.members[0].info.port = 8; |}
+    (fun v ->
+       let src0 = Value.array_get (Value.get_field v "srcs") 0 in
+       Alcotest.(check int) "ID" 1 (geti src0 "ID");
+       Alcotest.(check int) "port" 0 (geti (Value.get_field src0 "info") "port"))
+
+let cells_fmt =
+  Ptype_dsl.format_of_string_exn
+    {|record Cell { int a; float w = 2.5; string tag = "t"; }
+      format Cells { int n; Cell cells[n]; int fn; float fs[fn]; int kn; int ks[kn]; }|}
+
+let append_coerces_cases =
+  both ~fmt:cells_fmt "append: a scalar appended takes the element type"
+    {| io.fs[0] = 3;
+       io.fs[1] = 7 / 2;
+       io.ks[0] = 2.75; |}
+    (fun v ->
+       let fs = Value.get_field v "fs" in
+       Alcotest.check Helpers.value "int into float array" (Value.Float 3.0) (Value.array_get fs 0);
+       Alcotest.check Helpers.value "int division into float array" (Value.Float 3.0)
+         (Value.array_get fs 1);
+       Alcotest.check Helpers.value "float into int array" (Value.Int 2)
+         (Value.array_get (Value.get_field v "ks") 0))
+
+(* A store to [old.l[n].f] with [n] one past the end appends one element:
+   [f] holds the stored value, the other fields their defaults (declared
+   default constants included). *)
+let cell ?(w = 2.5) ?(tag = "t") a =
+  Value.record [ ("a", Value.Int a); ("w", Value.Float w); ("tag", Value.String tag) ]
+
+let cells v = List.init (Value.array_len (Value.get_field v "cells"))
+    (Value.array_get (Value.get_field v "cells"))
+
+let append_field_defaults_cases =
+  both ~fmt:cells_fmt "append: other fields of the element take their defaults"
+    {| io.cells[0].a = 4;
+       io.cells[1].tag = "u";
+       io.cells[1].a = 6;
+       io.cells[2].w = 0.5; |}
+    (fun v ->
+       Alcotest.(check (list Helpers.value)) "cells"
+         [ cell 4; cell ~tag:"u" 6; cell ~w:0.5 0 ]
+         (cells v))
+
+let append_incr_cases =
+  both ~fmt:cells_fmt "append: ++ on an element field one past the end"
+    {| io.cells[0].a++;
+       ++io.cells[1].w;
+       io.cells[1].a--; |}
+    (fun v ->
+       Alcotest.(check (list Helpers.value)) "cells" [ cell 1; cell ~w:3.5 (-1) ] (cells v))
+
+let append_rhs_first_cases =
+  both ~fmt:cells_fmt "append: the right side sees the length before the append"
+    {| io.cells[0].a = len(io.cells);
+       io.cells[len(io.cells)].a = len(io.cells) + 10;
+       io.n = len(io.cells); |}
+    (fun v ->
+       Alcotest.(check (list Helpers.value)) "cells" [ cell 0; cell 11 ] (cells v);
+       Alcotest.(check int) "length" 2 (geti v "n"))
+
+let test_append_past_end_raises () =
+  let code = {| io.cells[0].a = 1; io.cells[2].a = 2; |} in
+  List.iter
+    (fun engine ->
+       match run_with ~engine ~fmt:cells_fmt code (Value.default_record cells_fmt) with
+       | _ -> Alcotest.fail "a store two past the end must raise"
+       | exception (Value.Type_error _ | Ecode.Compile.Runtime_error _
+                   | Ecode.Interp.Runtime_error _) -> ())
+    [ `Compiled; `Interp ]
+
 (* --- the paper's Figure 5 transformation ----------------------------------- *)
 
 let test_fig5_transformation_both_engines () =
@@ -600,3 +679,7 @@ let suite =
       Alcotest.test_case "Figure 5: delivered values are copies" `Quick
         test_fig5_delivered_values_are_copies;
     ]
+  @ append_copies_cases @ append_coerces_cases @ append_field_defaults_cases
+  @ append_incr_cases @ append_rhs_first_cases
+  @ [ Alcotest.test_case "append: a store two past the end raises" `Quick
+        test_append_past_end_raises ]

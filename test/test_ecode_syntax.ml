@@ -190,6 +190,41 @@ let test_pp_fixed_point () =
        Alcotest.(check string) "print . parse fixed point" s1 s2)
     corpus
 
+(* parse -> Pp -> parse over the corpus: Pp parenthesises every
+   expression, so the reprint's parse prints the same, and a table of
+   operator chains pins every precedence level and left associativity. *)
+let test_parse_pp_roundtrip () =
+  let expr_of src =
+    match (parse_ok ("x = " ^ src ^ ";")).Ecode.Ast.main with
+    | [ { Ecode.Ast.s = Expr { e = Assign (_, _, rhs); _ }; _ } ] ->
+      Fmt.str "%a" Ecode.Pp.pp_expr rhs
+    | _ -> Alcotest.failf "unexpected parse shape for %s" src
+  in
+  List.iter
+    (fun (src, expected) ->
+       Alcotest.(check string) src expected (expr_of src);
+       Alcotest.(check string) ("reparsed " ^ src) expected (expr_of expected))
+    [
+      ("a || b && c | d ^ e & f == g < h << i + j * k",
+       "(a || (b && (c | (d ^ (e & (f == (g < (h << (i + (j * k))))))))))");
+      ("a * b + c << d < e == f & g ^ h | i && j || k",
+       "((((((((((a * b) + c) << d) < e) == f) & g) ^ h) | i) && j) || k)");
+      ("a - b - c", "((a - b) - c)");
+      ("a / b % c * d", "(((a / b) % c) * d)");
+      ("a << b >> c", "((a << b) >> c)");
+      ("a < b >= c", "((a < b) >= c)");
+      ("a != b == c", "((a != b) == c)");
+      ("a || b || c", "((a || b) || c)");
+      ("-a * !b + ~c", "(((-a) * (!b)) + (~c))");
+      ("a ? b : c ? d : e", "(a ? b : (c ? d : e))");
+    ];
+  List.iter
+    (fun src ->
+       let s1 = Ecode.Pp.program_to_string (parse_ok src) in
+       let s2 = Ecode.Pp.program_to_string (parse_ok s1) in
+       Alcotest.(check string) "parse . pp . parse" s1 s2)
+    corpus
+
 let test_pp_preserves_semantics () =
   (* run the Figure 5 transformation from its pretty-printed source *)
   let src = Echo.Wire_formats.response_v2_to_v1_code in
@@ -219,4 +254,6 @@ let suite =
     Alcotest.test_case "typecheck: record assignment" `Quick test_record_assignment_shapes;
     Alcotest.test_case "pp: fixed point on corpus" `Quick test_pp_fixed_point;
     Alcotest.test_case "pp: preserves semantics" `Quick test_pp_preserves_semantics;
+    Alcotest.test_case "parser: precedence round-trip through pp" `Quick
+      test_parse_pp_roundtrip;
   ]

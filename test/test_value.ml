@@ -205,6 +205,62 @@ let prop_default_conforms =
         && Value.equal a (Value.default_record r)
         && shares_nothing a b)
 
+(* A record type of [n] fields mixing scalars, a declared default
+   constant, a nested record and arrays, so the builders' arity ladder is
+   walked rung by rung (7 reaches the generic fallback). *)
+let ladder_record n =
+  let contact =
+    Ptype.record "C" [ Ptype.field "host" Ptype.string_; Ptype.field "port" Ptype.int_ ]
+  in
+  let kind i : Ptype.field =
+    let name = Printf.sprintf "f%d" i in
+    match i mod 5 with
+    | 0 -> Ptype.field ~default:(Ptype.Cint 7) name Ptype.int_
+    | 1 -> Ptype.field name Ptype.string_
+    | 2 -> Ptype.field name (Ptype.Record contact)
+    | 3 -> Ptype.field ~default:(Ptype.Cfloat 1.5) name Ptype.float_
+    | _ -> Ptype.field name (Ptype.array_fixed 2 (Ptype.Record contact))
+  in
+  Ptype.record (Printf.sprintf "R%d" n) (List.init n kind)
+
+let test_builders_every_arity () =
+  for n = 1 to 7 do
+    let r = ladder_record n in
+    let ty = Ptype.Record r in
+    let what s = Printf.sprintf "%d fields: %s" n s in
+    let make = Value.maker ty in
+    let a = make () and b = make () in
+    Alcotest.check Helpers.value (what "maker = default") (Value.default_record r) a;
+    Alcotest.(check bool) (what "fresh values") true (shares_nothing a b);
+    (* every scalar field moved off its default *)
+    let v = Value.copy a in
+    List.iteri
+      (fun i (f : Ptype.field) ->
+         match f.ftype with
+         | Basic Int -> Value.set_field v f.fname (Value.Int (100 + i))
+         | Basic Float -> Value.set_field v f.fname (Value.Float (float_of_int i))
+         | Basic String -> Value.set_field v f.fname (Value.String (string_of_int i))
+         | _ -> ())
+      r.fields;
+    let c = Value.copier ty v in
+    Alcotest.check Helpers.value (what "copier = copy") (Value.copy v) c;
+    Alcotest.(check bool) (what "copier copies deeply") true (shares_nothing v c);
+    (* a record of another arity falls back to [copy] *)
+    let other = Value.default_record (ladder_record (n + 1)) in
+    Alcotest.check Helpers.value (what "shape mismatch copies") other (Value.copier ty other);
+    (* [maker_around ty i x] is the default with field [i] set to [x] *)
+    List.iteri
+      (fun i (f : Ptype.field) ->
+         let x = Value.copy (Value.get_field v f.fname) in
+         let expected = Value.default_record r in
+         Value.set_field expected f.fname x;
+         let got = Value.maker_around ty i x in
+         Alcotest.check Helpers.value (what ("maker_around " ^ f.fname)) expected got;
+         Alcotest.(check bool) (what "holds the value itself") true
+           (Value.get_field got f.fname == x))
+      r.fields
+  done
+
 let prop_generated_value_conforms =
   QCheck.Test.make ~name:"generated values conform" ~count:200
     Helpers.arb_format_and_value (fun (r, v) -> Value.conforms (Ptype.Record r) v)
@@ -227,4 +283,6 @@ let suite =
     Helpers.qtest prop_copy_equal;
     Helpers.qtest prop_default_conforms;
     Helpers.qtest prop_generated_value_conforms;
+    Alcotest.test_case "maker, copier, maker_around at every arity" `Quick
+      test_builders_every_arity;
   ]
